@@ -53,7 +53,9 @@ impl PlacementPolicy for FirstFitPolicy {
 }
 
 /// Most-utilized feasible node — consolidates load (bin-packing best fit),
-/// minimizing the number of powered nodes at the price of queueing.
+/// minimizing the number of powered nodes at the price of queueing. Ties
+/// go to the first candidate in node order, so an empty network fills
+/// from node 0 rather than from the cloud (the last node).
 #[derive(Debug, Default, Clone)]
 pub struct BestFitPolicy;
 
@@ -63,8 +65,10 @@ impl PlacementPolicy for BestFitPolicy {
     }
 
     fn decide(&mut self, ctx: &DecisionContext, _rng: &mut StdRng) -> PlacementAction {
+        // `min_by` on the reversed order keeps the FIRST maximum
+        // (`max_by` would keep the last).
         ctx.feasible_candidates()
-            .max_by(|a, b| a.utilization.partial_cmp(&b.utilization).unwrap())
+            .min_by(|a, b| b.utilization.partial_cmp(&a.utilization).unwrap())
             .map_or(PlacementAction::Reject, |c| PlacementAction::Place(c.node))
     }
 }
@@ -404,6 +408,26 @@ mod tests {
         assert_eq!(
             WorstFitPolicy.decide(&ctx, &mut rng),
             PlacementAction::Place(NodeId(0))
+        );
+    }
+
+    #[test]
+    fn best_fit_breaks_ties_toward_the_first_node_not_the_cloud() {
+        // An empty network: every node ties at zero utilization and the
+        // cloud comes last.
+        let ctx = ctx_with(vec![
+            candidate(0, true, 1.0, 0.1, 0.0, false),
+            candidate(1, true, 1.0, 0.1, 0.0, false),
+            candidate(2, true, 40.0, 0.05, 0.0, true),
+        ]);
+        let mut rng = StdRng::seed_from_u64(0);
+        assert_eq!(
+            BestFitPolicy.decide(&ctx, &mut rng),
+            PlacementAction::Place(NodeId(0))
+        );
+        assert_eq!(
+            CloudOnlyPolicy.decide(&ctx, &mut rng),
+            PlacementAction::Place(NodeId(2))
         );
     }
 

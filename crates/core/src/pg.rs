@@ -38,9 +38,6 @@ pub struct PgPolicy {
     agent: ReinforceAgent,
     label: String,
     training: bool,
-    /// Whether the engine may route greedy evaluation decisions through
-    /// the batched-inference path (on by default).
-    batched_inference: bool,
     episode_returns: Vec<f32>,
 }
 
@@ -67,7 +64,6 @@ impl PgPolicy {
             agent,
             label: config.label,
             training: true,
-            batched_inference: true,
             episode_returns: Vec::new(),
         }
     }
@@ -75,12 +71,6 @@ impl PgPolicy {
     /// Read access to the wrapped agent.
     pub fn agent(&self) -> &ReinforceAgent {
         &self.agent
-    }
-
-    /// Enables/disables the batched greedy-inference path (enabled by
-    /// default; selection is bit-identical either way).
-    pub fn set_batched_inference(&mut self, enabled: bool) {
-        self.batched_inference = enabled;
     }
 
     /// Drains accumulated per-episode returns.
@@ -128,7 +118,7 @@ impl PlacementPolicy for PgPolicy {
     }
 
     fn supports_greedy_batch(&self) -> bool {
-        !self.training && self.batched_inference
+        !self.training
     }
 
     fn greedy_batch(&mut self, states: &nn::tensor::Matrix, masks: &[bool], out: &mut Vec<usize>) {
@@ -248,6 +238,19 @@ mod tests {
             pg.summary.combined_objective(1.0, 1.0),
             rand_result.summary.combined_objective(1.0, 1.0)
         );
+    }
+
+    #[test]
+    fn only_frozen_mode_batches() {
+        // Sampling draws from the decision rng stream; batching a
+        // training policy would desynchronize it.
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut policy = PgPolicy::new(fast_pg(), 8, 3, &mut rng);
+        assert!(!policy.supports_greedy_batch());
+        policy.set_training(false);
+        assert!(policy.supports_greedy_batch());
+        policy.set_training(true);
+        assert!(!policy.supports_greedy_batch());
     }
 
     #[test]

@@ -113,8 +113,10 @@ pub trait PlacementPolicy {
         let _ = (feedback, rng);
     }
 
-    /// `true` when the policy can answer a whole slot's pending decisions
-    /// through [`PlacementPolicy::greedy_batch`]. Network-backed policies
+    /// `true` when the policy can answer a slot-snapshot wave (one
+    /// decision per live arrival of a group, all against the same frozen
+    /// world) through [`PlacementPolicy::greedy_batch`]; sequential
+    /// semantics never batch. Network-backed policies
     /// return `true` in (greedy, frozen) evaluation mode only — batched
     /// selection has no exploration rng stream, so a training policy must
     /// keep the per-decision path to preserve its draw order. Heuristics
@@ -128,10 +130,11 @@ pub trait PlacementPolicy {
     /// (`masks[row * mask_stride + action]`), one selected action index
     /// per row pushed into `out` (cleared first).
     ///
-    /// Only called when [`PlacementPolicy::supports_greedy_batch`] is
-    /// `true`. Implementations must select exactly what `decide` would
-    /// pick for each row in isolation — the engine's batched decision
-    /// loop relies on that to stay bit-identical to the sequential path.
+    /// Only called for slot-snapshot waves (and by policy servers that
+    /// fuse such waves) when [`PlacementPolicy::supports_greedy_batch`]
+    /// is `true`. Implementations must select exactly what `decide` would
+    /// pick for each row in isolation, so a wave is bit-identical to
+    /// per-row `decide` calls.
     fn greedy_batch(&mut self, states: &nn::tensor::Matrix, masks: &[bool], out: &mut Vec<usize>) {
         let _ = (states, masks, out);
         unreachable!("greedy_batch called on a policy that does not support it");

@@ -112,10 +112,9 @@ pub enum MetricsMode {
 /// [`Simulation::drive`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum DecisionSemantics {
-    /// The paper's sequential loop (the default): each decision sees
-    /// every earlier placement of the same group. Batched inference is
-    /// speculative here — rows are validated bitwise against the
-    /// sequential state and die at the group's first acceptance.
+    /// The paper's sequential loop (the default): one `decide` call per
+    /// chain position, each seeing every earlier placement of the same
+    /// group.
     #[default]
     Sequential,
     /// Snapshot-commit: all of a group's decisions are planned against
@@ -299,38 +298,6 @@ struct CostCache {
     nodes_down: u32,
 }
 
-/// One slot's pending position-0 decisions, assembled for a single
-/// batched forward pass: every arrival's encoded state as one row of a
-/// long-lived matrix, the row-major action masks, and the policy's
-/// selected action per row.
-///
-/// The batch is *speculative*: it is encoded against the world as it
-/// stands when the slot's arrivals begin. Placing request `i` mutates the
-/// world (capacity, instances), so request `i+1`'s actual decision state
-/// may differ from its batch row. The engine therefore validates each row
-/// bitwise against the sequential path's freshly-encoded state before
-/// using the precomputed action, and falls back to a per-decision forward
-/// on any mismatch — which is what keeps the batched run bit-identical to
-/// the sequential one by construction (rows are independent under the
-/// kernels, pinned by the batch-parity tests).
-#[derive(Default)]
-struct ArrivalBatch {
-    /// Whether the batch holds this slot's arrivals (false = fall back).
-    valid: bool,
-    /// Encoded position-0 states, one arrival per row.
-    states: Matrix,
-    /// Row-major action masks (`action_space.len()` entries per row).
-    masks: Vec<bool>,
-    /// Policy-selected greedy action per row.
-    actions: Vec<usize>,
-    /// Batched-forward wall time amortized per row (decision-time metric).
-    per_row_ns: u64,
-    /// Row-staging buffers, reused across rows and slots.
-    candidates: Vec<CandidateInfo>,
-    mask_row: Vec<bool>,
-    state_row: Vec<f32>,
-}
-
 /// One planned decision of a slot-snapshot group: the action the policy
 /// chose against the frozen group-start world, the frozen step reward,
 /// and the row of [`GroupPlans::states`] holding the frozen observation
@@ -360,9 +327,8 @@ struct ArrivalPlan {
 /// A slot-snapshot group's jointly planned decisions: every arrival of
 /// the group is decided against ONE frozen group-start world, chain
 /// positions batched into wavefronts (one fused `greedy_batch` forward
-/// per position when the policy batches — no speculation, nothing to
-/// invalidate). The apply phase then replays the plans against the
-/// mutating world in arrival order.
+/// per position when the policy batches). The apply phase then replays
+/// the plans against the mutating world in arrival order.
 #[derive(Default)]
 struct GroupPlans {
     /// Whether the plans cover the currently pending arrival group.
@@ -373,6 +339,15 @@ struct GroupPlans {
     masks: Vec<bool>,
     /// Per-arrival plans, indexed like the arrival group.
     plans: Vec<ArrivalPlan>,
+    /// Wave staging: the wave's observations, row-major masks and the
+    /// policy's action per row (one row per live arrival).
+    wave_states: Matrix,
+    wave_masks: Vec<bool>,
+    wave_actions: Vec<usize>,
+    /// Row-staging buffers, reused across rows and waves.
+    candidates: Vec<CandidateInfo>,
+    mask_row: Vec<bool>,
+    state_row: Vec<f32>,
     /// Wave staging: the wave's candidate marginal latencies/costs,
     /// row-major per live arrival (`node_count` entries each).
     cand_lat: Vec<f64>,
@@ -409,8 +384,6 @@ struct SimScratch {
     all_true: Vec<bool>,
     /// Cached zero state (terminal next-state filler).
     zero_state: Vec<f32>,
-    /// The slot's speculative batched-inference state.
-    batch: ArrivalBatch,
     /// The group's snapshot plans ([`DecisionSemantics::SlotSnapshot`]).
     plans: GroupPlans,
 }
@@ -441,8 +414,7 @@ pub struct Simulation {
     deployment_cost_this_slot: f64,
     metrics: MetricsCollector,
     scratch: SimScratch,
-    /// Decisions served from the slot's batched forward (validated hits)
-    /// or from a snapshot wave's fused forward.
+    /// Decisions served from a snapshot wave's fused forward.
     batched_decisions: u64,
     /// How arrival groups are decided ([`RunOptions::semantics`]).
     semantics: DecisionSemantics,
@@ -545,7 +517,6 @@ impl Simulation {
             prev_mask: Vec::new(),
             all_true: vec![true; action_space.len()],
             zero_state: encoder.zero_state(),
-            batch: ArrivalBatch::default(),
             plans: GroupPlans::default(),
         };
         Self {
@@ -621,9 +592,9 @@ impl Simulation {
         self.active.len()
     }
 
-    /// Decisions served by the slot-level batched forward so far (each one
-    /// replaced a per-decision network call after its speculative row
-    /// validated bitwise against the sequential state).
+    /// Decisions served by [`DecisionSemantics::SlotSnapshot`] waves'
+    /// fused `greedy_batch` forwards so far. Always 0 under
+    /// [`DecisionSemantics::Sequential`], which decides per decision.
     pub fn batched_decisions(&self) -> u64 {
         self.batched_decisions
     }
@@ -890,52 +861,6 @@ impl Simulation {
         }
     }
 
-    /// Assembles the slot's arrival batch — every arrival's position-0
-    /// decision context encoded against the current world, one row each —
-    /// and asks the policy for all greedy actions through ONE batched
-    /// forward pass. Leaves the batch invalid (sequential fallback) when
-    /// the policy cannot batch or a single arrival leaves nothing to
-    /// amortize.
-    fn prepare_arrival_batch(&mut self, arrivals: &[Request], policy: &mut dyn PlacementPolicy) {
-        let mut batch = std::mem::take(&mut self.scratch.batch);
-        batch.valid = false;
-        if arrivals.len() >= 2 && policy.supports_greedy_batch() {
-            batch.states.begin_rows(arrivals.len(), self.encoder.dim());
-            batch.masks.clear();
-            for request in arrivals {
-                let chain = self.chains.get(request.chain);
-                self.candidates_into(chain, 0, request.source, &mut batch.candidates);
-                batch.mask_row.clear();
-                batch
-                    .mask_row
-                    .extend(batch.candidates.iter().map(|c| c.feasible));
-                batch.mask_row.push(true); // reject always valid
-                self.encoder.encode_into(
-                    self.network.ledger(),
-                    &self.pool,
-                    &self.vnfs,
-                    chain,
-                    0,
-                    request.source,
-                    request.source,
-                    0.0,
-                    self.scenario.max_instance_utilization,
-                    self.slot,
-                    self.network.health(),
-                    &batch.candidates,
-                    &mut batch.state_row,
-                );
-                batch.states.push_row(&batch.state_row);
-                batch.masks.extend_from_slice(&batch.mask_row);
-            }
-            let started = Instant::now();
-            policy.greedy_batch(&batch.states, &batch.masks, &mut batch.actions);
-            batch.per_row_ns = started.elapsed().as_nanos() as u64 / arrivals.len() as u64;
-            batch.valid = true;
-        }
-        self.scratch.batch = batch;
-    }
-
     /// Runs one request's placement episode under `policy`.
     ///
     /// The decision loop is allocation-free at steady state: the decision
@@ -947,24 +872,6 @@ impl Simulation {
         request: &Request,
         policy: &mut dyn PlacementPolicy,
         rng: &mut StdRng,
-    ) -> PlacementOutcome {
-        self.place_request_hinted(request, policy, rng, None)
-    }
-
-    /// [`Simulation::place_request`] with an optional speculative hint:
-    /// `hint = Some(row)` names this request's row in the slot's
-    /// [`ArrivalBatch`]. The hint only short-circuits the *position-0*
-    /// network call, and only after the row's encoded state and mask
-    /// compare bit-equal to the freshly filled context — placements by
-    /// earlier arrivals of the slot invalidate later rows, which then take
-    /// the ordinary per-decision path. Action selection is therefore
-    /// identical to the unhinted run in every case.
-    fn place_request_hinted(
-        &mut self,
-        request: &Request,
-        policy: &mut dyn PlacementPolicy,
-        rng: &mut StdRng,
-        hint: Option<usize>,
     ) -> PlacementOutcome {
         let chain = self.chains.get(request.chain).clone();
         let mut ctx = self.take_ctx(request, &chain);
@@ -998,55 +905,10 @@ impl Simulation {
                     rng,
                 );
             }
-            // Position-0 decisions may be served from the slot's batched
-            // forward: if this request's speculative row still matches the
-            // just-encoded context bit for bit, the batched selection IS
-            // the sequential selection and the per-decision forward is
-            // skipped. Any earlier placement this slot perturbs the
-            // encoding and drops us back to `policy.decide`. The
-            // speculation cost — this row's share of the batched forward
-            // plus the bitwise validation — is charged to the decision
-            // either way: a hit pays it *instead of* `decide`, a miss
-            // pays it *on top*, so the decision-time metric reflects
-            // wasted speculative work honestly.
-            let (action_index, decision_ns) = {
-                let mut speculation_ns = 0u64;
-                let mut hit = None;
-                if position == 0 && self.scratch.batch.valid {
-                    if let Some(row) = hint {
-                        let started = Instant::now();
-                        let batch = &self.scratch.batch;
-                        let stride = self.action_space.len();
-                        let state_matches = ctx.encoded_state.len() == batch.states.cols()
-                            && ctx
-                                .encoded_state
-                                .iter()
-                                .zip(batch.states.row(row).iter())
-                                .all(|(a, b)| a.to_bits() == b.to_bits());
-                        let mask_matches =
-                            ctx.mask[..] == batch.masks[row * stride..(row + 1) * stride];
-                        if state_matches && mask_matches {
-                            hit = Some(batch.actions[row]);
-                        }
-                        speculation_ns = batch.per_row_ns + started.elapsed().as_nanos() as u64;
-                    }
-                }
-                match hit {
-                    Some(served) => {
-                        self.batched_decisions += 1;
-                        (served, speculation_ns)
-                    }
-                    None => {
-                        let started = Instant::now();
-                        let action = policy.decide(&ctx, rng);
-                        (
-                            self.action_space.encode(action),
-                            speculation_ns + started.elapsed().as_nanos() as u64,
-                        )
-                    }
-                }
-            };
-            self.metrics.push_decision_time(decision_ns);
+            let started = Instant::now();
+            let action_index = self.action_space.encode(policy.decide(&ctx, rng));
+            self.metrics
+                .push_decision_time(started.elapsed().as_nanos() as u64);
             assert!(
                 ctx.mask[action_index],
                 "policy {} chose masked action {action_index} at position {position}",
@@ -1235,8 +1097,8 @@ impl Simulation {
     /// wavefront: all live arrivals' position-`p` decisions are assembled
     /// into one batch and answered by a single fused `greedy_batch`
     /// forward (or per-decision `decide` calls in arrival order for
-    /// policies that cannot batch). Whole batches survive by
-    /// construction — no speculation, nothing invalidates a row.
+    /// policies that cannot batch). Nothing commits during planning, so
+    /// every row of a wave stays valid.
     fn plan_group_snapshot(
         &mut self,
         arrivals: &[Request],
@@ -1275,13 +1137,11 @@ impl Simulation {
         plans.consumed.resize(arrivals.len(), 0.0);
 
         let use_batch = policy.supports_greedy_batch();
-        let mut batch = std::mem::take(&mut self.scratch.batch);
-        batch.valid = false;
         let mut position = 0usize;
         while !plans.live.is_empty() {
-            batch.states.begin_rows(plans.live.len(), dim);
-            batch.masks.clear();
-            batch.actions.clear();
+            plans.wave_states.begin_rows(plans.live.len(), dim);
+            plans.wave_masks.clear();
+            plans.wave_actions.clear();
             plans.cand_lat.clear();
             plans.cand_cost.clear();
             if use_batch {
@@ -1290,12 +1150,12 @@ impl Simulation {
                     let i = plans.live[w];
                     let request = &arrivals[i];
                     let chain = self.chains.get(request.chain);
-                    self.candidates_into(chain, position, plans.at_nodes[i], &mut batch.candidates);
-                    batch.mask_row.clear();
-                    batch
+                    self.candidates_into(chain, position, plans.at_nodes[i], &mut plans.candidates);
+                    plans.mask_row.clear();
+                    plans
                         .mask_row
-                        .extend(batch.candidates.iter().map(|c| c.feasible));
-                    batch.mask_row.push(true); // reject always valid
+                        .extend(plans.candidates.iter().map(|c| c.feasible));
+                    plans.mask_row.push(true); // reject always valid
                     self.encoder.encode_into(
                         self.network.ledger(),
                         &self.pool,
@@ -1308,20 +1168,24 @@ impl Simulation {
                         self.scenario.max_instance_utilization,
                         self.slot,
                         self.network.health(),
-                        &batch.candidates,
-                        &mut batch.state_row,
+                        &plans.candidates,
+                        &mut plans.state_row,
                     );
-                    batch.states.push_row(&batch.state_row);
-                    batch.masks.extend_from_slice(&batch.mask_row);
+                    plans.wave_states.push_row(&plans.state_row);
+                    plans.wave_masks.extend_from_slice(&plans.mask_row);
                     plans
                         .cand_lat
-                        .extend(batch.candidates.iter().map(|c| c.marginal_latency_ms));
+                        .extend(plans.candidates.iter().map(|c| c.marginal_latency_ms));
                     plans
                         .cand_cost
-                        .extend(batch.candidates.iter().map(|c| c.marginal_cost_usd));
+                        .extend(plans.candidates.iter().map(|c| c.marginal_cost_usd));
                 }
                 let started = Instant::now();
-                policy.greedy_batch(&batch.states, &batch.masks, &mut batch.actions);
+                policy.greedy_batch(
+                    &plans.wave_states,
+                    &plans.wave_masks,
+                    &mut plans.wave_actions,
+                );
                 let per_row_ns = started.elapsed().as_nanos() as u64 / plans.live.len() as u64;
                 for _ in 0..plans.live.len() {
                     self.metrics.push_decision_time(per_row_ns);
@@ -1346,9 +1210,9 @@ impl Simulation {
                     let action = policy.decide(&ctx, rng);
                     self.metrics
                         .push_decision_time(started.elapsed().as_nanos() as u64);
-                    batch.states.push_row(&ctx.encoded_state);
-                    batch.masks.extend_from_slice(&ctx.mask);
-                    batch.actions.push(self.action_space.encode(action));
+                    plans.wave_states.push_row(&ctx.encoded_state);
+                    plans.wave_masks.extend_from_slice(&ctx.mask);
+                    plans.wave_actions.push(self.action_space.encode(action));
                     plans
                         .cand_lat
                         .extend(ctx.candidates.iter().map(|c| c.marginal_latency_ms));
@@ -1362,12 +1226,12 @@ impl Simulation {
             plans.next_live.clear();
             for w in 0..plans.live.len() {
                 let i = plans.live[w];
-                let action_index = batch.actions[w];
+                let action_index = plans.wave_actions[w];
                 let row = plans.states.rows();
-                plans.states.push_row(batch.states.row(w));
+                plans.states.push_row(plans.wave_states.row(w));
                 plans
                     .masks
-                    .extend_from_slice(&batch.masks[w * stride..(w + 1) * stride]);
+                    .extend_from_slice(&plans.wave_masks[w * stride..(w + 1) * stride]);
                 assert!(
                     plans.masks[row * stride + action_index],
                     "policy {} chose masked action {action_index} at position {position}",
@@ -1402,7 +1266,6 @@ impl Simulation {
             position += 1;
         }
         plans.valid = true;
-        self.scratch.batch = batch;
         self.scratch.plans = plans;
     }
 
@@ -1816,18 +1679,13 @@ impl Simulation {
 
         self.retire_idle_instances();
 
-        // Sequential semantics: all of the slot's arrivals get their
-        // position-0 decision states encoded into one batch and answered
-        // by a single batched forward; each row is consumed only if it
-        // survives bitwise validation inside the (otherwise unchanged)
-        // sequential placement loop. Snapshot semantics instead plan
-        // EVERY position of every arrival against the frozen slot-start
-        // world, then apply jointly in arrival order.
+        // Sequential semantics place each arrival in turn, one decision
+        // at a time. Snapshot semantics first plan EVERY position of
+        // every arrival against the frozen slot-start world, then apply
+        // jointly in arrival order.
         let snapshot = self.semantics == DecisionSemantics::SlotSnapshot;
         if snapshot {
             self.plan_group_snapshot(arrivals, policy, rng);
-        } else {
-            self.prepare_arrival_batch(arrivals, policy);
         }
 
         let mut accepted = 0u32;
@@ -1837,7 +1695,7 @@ impl Simulation {
             let outcome = if snapshot {
                 self.apply_planned_request(row, request, policy, rng)
             } else {
-                self.place_request_hinted(request, policy, rng, Some(row))
+                self.place_request(request, policy, rng)
             };
             match outcome {
                 PlacementOutcome::Accepted { sla_violated, .. } => {
@@ -1850,7 +1708,6 @@ impl Simulation {
             }
         }
         // Stale once the slot's arrivals ran.
-        self.scratch.batch.valid = false;
         self.scratch.plans.valid = false;
 
         let (compute, energy, traffic, mean_latency) = self.slot_costs_and_latency(None);
@@ -2449,7 +2306,8 @@ impl Simulation {
     /// sequence)` order until the horizon, lazily billing completed slots
     /// before each event and once more at the end. Same-timestamp groups
     /// of network events and of arrivals are drained together — the
-    /// latter is what feeds speculative batched inference.
+    /// latter is what a [`DecisionSemantics::SlotSnapshot`] group plans
+    /// jointly.
     fn run_event_loop(
         &mut self,
         end_slot: u64,
@@ -2518,18 +2376,15 @@ impl Simulation {
                             sink.on_requested(t.ms(), request, false);
                         }
                     }
-                    // Batch assembly groups the arrivals that share this
-                    // timestamp (the slot loop groups per slot; on a
-                    // slot-boundary schedule those coincide): speculative
-                    // position-0 rows under sequential semantics, full
-                    // frozen-world plans under snapshot semantics.
-                    let pending = std::mem::take(&mut self.pending_arrivals);
+                    // Snapshot semantics plan the arrivals that share
+                    // this timestamp as one group against the frozen world
+                    // (the slot loop groups per slot; on a slot-boundary
+                    // schedule those coincide).
                     if self.semantics == DecisionSemantics::SlotSnapshot {
+                        let pending = std::mem::take(&mut self.pending_arrivals);
                         self.plan_group_snapshot(&pending, policy, rng);
-                    } else {
-                        self.prepare_arrival_batch(&pending, policy);
+                        self.pending_arrivals = pending;
                     }
-                    self.pending_arrivals = pending;
                     for row in 0..self.pending_arrivals.len() {
                         self.queue.schedule_at(t, SimEvent::PolicyDecision { row });
                     }
@@ -2542,7 +2397,7 @@ impl Simulation {
                     let outcome = if self.semantics == DecisionSemantics::SlotSnapshot {
                         self.apply_planned_request(row, &request, policy, rng)
                     } else {
-                        self.place_request_hinted(&request, policy, rng, Some(row))
+                        self.place_request(&request, policy, rng)
                     };
                     match outcome {
                         PlacementOutcome::Accepted { sla_violated, .. } => {
@@ -2556,7 +2411,6 @@ impl Simulation {
                     self.cost_cache = None;
                     if row + 1 == self.pending_arrivals.len() {
                         // Stale once the group's last episode ran.
-                        self.scratch.batch.valid = false;
                         self.scratch.plans.valid = false;
                     }
                 }

@@ -116,7 +116,7 @@ pub enum SimEvent {
     /// Checks are cheap idempotent sweeps; duplicates are harmless.
     RetireCheck,
     /// A request arrives. Same-timestamp arrivals are staged together so
-    /// speculative batch assembly can group them into one forward pass.
+    /// a slot-snapshot group can plan them jointly.
     FlowArrival(Request),
     /// Run the placement episode for staged arrival `row`.
     PolicyDecision {

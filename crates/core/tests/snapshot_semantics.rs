@@ -190,20 +190,18 @@ fn snapshot_engine_equivalence_and_rerun_determinism() {
 #[test]
 fn wavefront_batching_matches_per_row_decides() {
     // The fused wavefront forward is a pure row function: planning the
-    // same snapshot with `greedy_batch` (batched inference on) and with
-    // per-row `decide` calls (batched inference off) must produce
-    // bit-identical runs.
+    // same snapshot with `greedy_batch` and with per-row `decide` calls
+    // (through a wrapper that does not batch) must produce bit-identical
+    // runs.
     let mut scenario = Scenario::small_test();
     scenario.horizon_slots = 40;
     let policy = frozen_drl(&scenario);
 
-    let run = |batched: bool| {
-        let mut worker = policy.clone();
-        worker.set_batched_inference(batched);
+    let run = |worker: &mut dyn PlacementPolicy| {
         let mut result = evaluate_policy_with_semantics(
             &scenario,
             RewardConfig::default(),
-            &mut worker,
+            worker,
             9,
             DecisionSemantics::SlotSnapshot,
         );
@@ -211,7 +209,40 @@ fn wavefront_batching_matches_per_row_decides() {
         result.summary
     };
 
-    assert_eq!(run(true), run(false), "fused wavefront changed a decision");
+    let mut per_row = PerRow(policy.clone());
+    assert!(policy.supports_greedy_batch());
+    assert!(!per_row.supports_greedy_batch());
+    assert_eq!(
+        run(&mut policy.clone()),
+        run(&mut per_row),
+        "fused wavefront changed a decision"
+    );
+}
+
+/// Forwards every decision to the wrapped policy but keeps the trait's
+/// default `supports_greedy_batch` (false), so waves go through `decide`.
+struct PerRow<P>(P);
+
+impl<P: PlacementPolicy> PlacementPolicy for PerRow<P> {
+    fn name(&self) -> String {
+        self.0.name()
+    }
+
+    fn decide(&mut self, ctx: &DecisionContext, rng: &mut StdRng) -> PlacementAction {
+        self.0.decide(ctx, rng)
+    }
+
+    fn observe(&mut self, feedback: DecisionFeedback<'_>, rng: &mut StdRng) {
+        self.0.observe(feedback, rng);
+    }
+
+    fn set_training(&mut self, training: bool) {
+        self.0.set_training(training);
+    }
+
+    fn is_learning(&self) -> bool {
+        self.0.is_learning()
+    }
 }
 
 fn frozen_drl(scenario: &Scenario) -> DrlPolicy {

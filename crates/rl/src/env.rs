@@ -64,18 +64,6 @@ pub trait Environment {
     }
 }
 
-/// Environments with a small discrete state space, enabling tabular methods.
-///
-/// Used by the validation suite: tabular Q-learning provides a trusted
-/// reference return that the DQN must match on toy problems.
-pub trait DiscreteStateEnvironment: Environment {
-    /// Number of distinct states.
-    fn state_count(&self) -> usize;
-
-    /// Identifier of the current state in `0..state_count()`.
-    fn state_id(&self) -> usize;
-}
-
 /// Picks the valid action with the highest value from `values`,
 /// respecting `mask` (entries with `mask[i] == false` are skipped).
 ///

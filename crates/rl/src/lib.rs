@@ -2,14 +2,12 @@
 //!
 //! Discrete-action RL machinery for the DRL-based VNF manager: environment
 //! abstraction with **action masking** (saturated edge nodes must never be
-//! selected), uniform and prioritized experience replay, ε-schedules,
-//! tabular Q-learning (the validation reference), and a DQN agent with the
-//! Double/Dueling/PER extensions — each independently switchable to support
-//! the paper's ablation study.
+//! selected), uniform and prioritized experience replay, ε-schedules, a
+//! REINFORCE agent, and a DQN agent with the Double/Dueling/PER extensions
+//! — each independently switchable to support the paper's ablation study.
 //!
 //! Validation philosophy: the [`toy`] environments have known optimal
-//! returns; the test suite requires both the tabular agent and the DQN to
-//! reach them. A regression anywhere in the learning stack (backprop,
+//! returns; the test suite requires the DQN to reach them. A regression anywhere in the learning stack (backprop,
 //! target computation, masking, replay) fails those tests before it can
 //! silently corrupt the headline VNF experiments.
 //!
@@ -41,7 +39,6 @@
 pub mod dqn;
 pub mod env;
 pub mod qnet;
-pub mod qtable;
 pub mod reinforce;
 pub mod replay;
 pub mod schedule;
@@ -52,11 +49,8 @@ pub mod transition;
 /// Convenient glob-import of the common types.
 pub mod prelude {
     pub use crate::dqn::{DqnAgent, DqnConfig, LearnStats};
-    pub use crate::env::{
-        masked_argmax, masked_max, DiscreteStateEnvironment, Environment, StepOutcome,
-    };
+    pub use crate::env::{masked_argmax, masked_max, Environment, StepOutcome};
     pub use crate::qnet::{QNetWorkspace, QNetwork, QNetworkConfig};
-    pub use crate::qtable::{QTableAgent, QTableConfig};
     pub use crate::reinforce::{
         masked_softmax, masked_softmax_into, ReinforceAgent, ReinforceConfig,
     };

@@ -2,7 +2,7 @@
 //! check. Actions: 0=up, 1=down, 2=left, 3=right. Walking into a wall or
 //! obstacle is masked out, exercising the action-mask machinery end to end.
 
-use crate::env::{DiscreteStateEnvironment, Environment, StepOutcome};
+use crate::env::{Environment, StepOutcome};
 use rand::RngCore;
 
 /// An `n x n` grid; the agent starts at `(0, 0)` and must reach
@@ -157,16 +157,6 @@ impl Environment for GridWorld {
 
     fn max_episode_steps(&self) -> Option<usize> {
         Some(self.n * self.n * 4)
-    }
-}
-
-impl DiscreteStateEnvironment for GridWorld {
-    fn state_count(&self) -> usize {
-        self.n * self.n
-    }
-
-    fn state_id(&self) -> usize {
-        self.row * self.n + self.col
     }
 }
 

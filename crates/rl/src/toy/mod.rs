@@ -1,7 +1,7 @@
 //! Toy environments used to validate learning algorithms.
 //!
 //! These are not part of the VNF domain; they exist so the test suite can
-//! prove that the tabular and deep agents actually learn — a regression in
+//! prove that the deep agents actually learn — a regression in
 //! backprop or target computation fails these before it silently degrades
 //! the headline experiments.
 

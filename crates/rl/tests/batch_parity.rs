@@ -3,8 +3,8 @@
 //! bit-identical actions — and Q-rows — to N per-state `act_greedy` calls,
 //! across random network shapes, random masks, and warm-buffer
 //! interleavings that reshape the shared inference workspace between
-//! batched and single-state use. The engine's per-slot batched decision
-//! loop is built on exactly this guarantee.
+//! batched and single-state use. The engine's slot-snapshot wavefronts
+//! and the policy server are built on exactly this guarantee.
 
 use nn::tensor::Matrix;
 use proptest::prelude::*;

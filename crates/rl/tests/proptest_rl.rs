@@ -132,18 +132,4 @@ proptest! {
             None => prop_assert!(mask.iter().all(|&m| !m)),
         }
     }
-
-    #[test]
-    fn qtable_update_converges_to_constant_reward(
-        reward in -5.0f32..5.0,
-        alpha_pct in 1u32..100,
-    ) {
-        let alpha = alpha_pct as f32 / 100.0;
-        let mut agent = QTableAgent::new(1, 1, QTableConfig { alpha, ..Default::default() });
-        for _ in 0..2_000 {
-            agent.update(0, 0, reward, 0, true, None);
-        }
-        let q = agent.q_values(0)[0];
-        prop_assert!((q - reward).abs() < 0.05, "Q={q} target={reward}");
-    }
 }

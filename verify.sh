@@ -27,6 +27,9 @@
 #                           # search twice (second run on a single worker
 #                           # thread) and byte-diffs the two
 #                           # BENCH_search_smoke.json outputs
+#   ./verify.sh perfbench   # tests of the end-to-end benchmark package
+#                           # (perfbench/, its own workspace), which
+#                           # drives the engine and policy APIs
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -130,6 +133,11 @@ run_search_smoke() {
   rm -f "$RESULTS_DIR/BENCH_search_smoke.reference.json"
 }
 
+perfbench_() {
+  echo "==> cargo test --release --offline --manifest-path perfbench/Cargo.toml"
+  cargo test --release --offline --manifest-path perfbench/Cargo.toml
+}
+
 search_smoke() {
   export FAST=1
   export RESULTS_DIR="${RESULTS_DIR:-results}"
@@ -186,12 +194,13 @@ case "${1:-all}" in
   bench-full) bench_full ;;
   sweep-smoke) sweep_smoke ;;
   search-smoke) search_smoke ;;
+  perfbench) perfbench_ ;;
   all)
     lint
     test_
     ;;
   *)
-    echo "usage: $0 [lint|test|bench-smoke|bench-full|sweep-smoke|search-smoke|all]" >&2
+    echo "usage: $0 [lint|test|bench-smoke|bench-full|sweep-smoke|search-smoke|perfbench|all]" >&2
     exit 2
     ;;
 esac
